@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all coverage bench bench-collect bench-export smoke \
 	loadtest-smoke perf-smoke fuzz-smoke update-smoke obs-smoke \
-	chaos-smoke lint
+	chaos-smoke perfbench-smoke lint
 
 test:            ## fast unit suite (tier-1)
 	$(PYTHON) -m pytest -x -q
@@ -73,3 +73,7 @@ obs-smoke:       ## observability end to end: traced query, serve, metrics scrap
 
 chaos-smoke:     ## fault-injected serving: retrying clients, journaled mutations, verify
 	bash scripts/chaos_smoke.sh
+
+perfbench-smoke: ## benchmark self-tests + a short traced run replaying every request stage by stage
+	$(PYTHON) -m pytest perfbench -q
+	$(PYTHON) perfbench/run.py --workload paper-memory --seed 7 --seconds 6 --trace 1

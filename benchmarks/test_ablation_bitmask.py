@@ -13,7 +13,7 @@ from typing import Sequence
 import pytest
 
 from repro.core import Query
-from repro.core.valid_contributor import _is_covered
+from repro.core.contributor import strictly_covered_masks
 
 from .conftest import representative_queries
 
@@ -46,9 +46,10 @@ def label_groups(engines, dataset_specs):
 def _bitmask_pass(groups) -> int:
     covered = 0
     for _query, children in groups:
-        key_numbers = [child.key_number for child in children]
+        covered_keys = strictly_covered_masks(
+            child.key_number for child in children)
         for child in children:
-            if _is_covered(child.key_number, key_numbers):
+            if child.key_number in covered_keys:
                 covered += 1
     return covered
 

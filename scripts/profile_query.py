@@ -9,13 +9,16 @@ representation and prints the top functions by cumulative time.
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/profile_query.py
-    PYTHONPATH=src python scripts/profile_query.py --dataset dblp --query QD3 \\
+    PYTHONPATH=src python scripts/profile_query.py --dataset dblp --query dl \\
         --algorithm maxmatch --backend sqlite --representation object
     PYTHONPATH=src python scripts/profile_query.py --top 40 --repeat 10
 
-``--query`` accepts a workload label (e.g. ``QD3``), a paper query name
-(``Q1``..``Q5``) or free keyword text; the default is the dataset's first
-workload query.
+``--query`` accepts a workload label (e.g. ``dl``; see
+``repro.datasets.workload``), a paper query name (``Q1``..``Q5``) or free
+keyword text; the default is the dataset's first workload query.  A value
+that looks like a label (``Q`` followed by letters and digits, any case) but
+names none is rejected with the dataset's valid labels, instead of being
+profiled as keyword text.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import re
 import sys
 from pathlib import Path
 
@@ -32,13 +36,27 @@ from repro.bench import BACKEND_NAMES, default_datasets, engine_for_backend
 from repro.datasets import PAPER_QUERIES
 
 
-def _resolve_query(spec, raw: str | None) -> str:
+#: What a query label looks like (``QD3``, ``q12``): free keyword text of
+#: this shape is almost surely a mistyped label.
+_LABEL_SHAPE = re.compile(r"q[a-z]*\d+", re.IGNORECASE)
+
+
+def _resolve_query(parser: argparse.ArgumentParser, spec,
+                   raw: str | None) -> str:
     if raw is None:
         return spec.workload[0].text
     for query in spec.workload:
         if query.label.upper() == raw.upper():
             return query.text
-    return PAPER_QUERIES.get(raw.upper(), raw)
+    if raw.upper() in PAPER_QUERIES:
+        return PAPER_QUERIES[raw.upper()]
+    if _LABEL_SHAPE.fullmatch(raw):
+        labels = ", ".join(query.label for query in spec.workload)
+        parser.error(
+            f"--query {raw!r} is not a workload label of dataset "
+            f"{spec.name!r} or a paper query name ({', '.join(PAPER_QUERIES)}); "
+            f"valid labels: {labels}")
+    return raw
 
 
 def main(argv=None) -> int:
@@ -66,7 +84,7 @@ def main(argv=None) -> int:
     arguments = parser.parse_args(argv)
 
     spec = default_datasets()[arguments.dataset]
-    query = _resolve_query(spec, arguments.query)
+    query = _resolve_query(parser, spec, arguments.query)
     engine = engine_for_backend(spec.tree_factory(), arguments.backend,
                                 shards=arguments.shards,
                                 document=arguments.dataset,

@@ -12,7 +12,7 @@ The shipped rules (see :mod:`repro.analysis.rules` for the full docstrings):
 
 * ``hot-loop-purity`` — no :class:`DeweyCode` materialization and no
   per-iteration hot-column attribute lookups inside the packed SLCA/ELCA/RTF
-  hot modules, except at pragma-declared result boundaries.
+  and pruning hot modules, except at pragma-declared result boundaries.
 * ``parity-registration`` — every class implementing the ``PostingSource``
   protocol is registered in ``tests/test_backend_parity.py`` (``BACKENDS`` +
   ``PARITY_SOURCES``).

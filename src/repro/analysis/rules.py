@@ -13,6 +13,7 @@ The rules and what they protect:
     The PR 4 packed-representation win (packed/object 0.80–0.91) lives or
     dies on the SLCA/ELCA/RTF hot loops staying object-free.  In the hot
     modules (``lca/``, ``core/rtf.py``, ``core/node_record.py``,
+    ``core/contributor.py``, ``core/valid_contributor.py``,
     ``index/packed.py``) this rule flags every :class:`DeweyCode`
     construction (including calls through local aliases such as
     ``from_tuple = DeweyCode._from_tuple``), every ``.components`` tuple
@@ -155,6 +156,7 @@ class HotLoopPurityRule(Rule):
 
     name = "hot-loop-purity"
     description = ("hot modules (lca/, core/rtf.py, core/node_record.py, "
+                   "core/contributor.py, core/valid_contributor.py, "
                    "index/packed.py) must not construct DeweyCode, touch "
                    ".components in loops, or re-read hot columns per "
                    "iteration, except at declared result boundaries")
@@ -163,6 +165,8 @@ class HotLoopPurityRule(Rule):
     HOT_FILES = frozenset({
         "src/repro/core/rtf.py",
         "src/repro/core/node_record.py",
+        "src/repro/core/contributor.py",
+        "src/repro/core/valid_contributor.py",
         "src/repro/index/packed.py",
     })
     #: Columns of the packed representation that loops must hoist.

@@ -15,26 +15,31 @@ keeps same-label siblings whose matched content is identical).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Sequence
+from itertools import compress
+from typing import Iterable, List, Sequence, Set
 
 from ..xmltree import DeweyCode
 from .fragments import PrunedFragment
 from .node_record import NodeRecord, RecordTree
 
 
-def _strictly_covered(mask: int, masks: Sequence[int], skip: int = -1) -> bool:
-    """Whether some mask other than position ``skip`` strictly covers ``mask``.
+def strictly_covered_masks(masks: Iterable[int]) -> Set[int]:
+    """The masks of ``masks`` that another mask strictly covers.
 
-    The single contributor kernel: both :func:`is_contributor` (the
-    definitional API, used by the explanations) and the pruning loop below
-    decide through this test, so the rule can never diverge between
-    explaining and pruning.
+    The single covering kernel: the contributor test, rule 2(a) of the
+    valid-contributor test and both pruning loops decide through it, so the
+    rule can never diverge between explaining and pruning.  It compares the
+    *distinct* masks only, so a group of siblings costs the square of its
+    distinct key numbers, not of its size.
     """
-    for position, other in enumerate(masks):
-        if position != skip and mask != other and (mask & other) == mask:
-            return True
-    return False
+    distinct = set(masks)
+    covered: Set[int] = set()
+    for mask in distinct:
+        for other in distinct:
+            if mask != other and mask & other == mask:
+                covered.add(mask)
+                break
+    return covered
 
 
 def is_contributor(record: NodeRecord, siblings: Sequence[NodeRecord]) -> bool:
@@ -44,35 +49,40 @@ def is_contributor(record: NodeRecord, siblings: Sequence[NodeRecord]) -> bool:
     fragment (any label).  The node fails iff some sibling's keyword mask is a
     strict superset of its own.
     """
-    return not _strictly_covered(
-        record.keyword_mask,
-        [sibling.keyword_mask for sibling in siblings
-         if sibling.dewey != record.dewey])
+    mask = record.keyword_mask
+    masks = [sibling.keyword_mask for sibling in siblings
+             if sibling.dewey != record.dewey]
+    masks.append(mask)
+    return mask not in strictly_covered_masks(masks)
 
 
 def prune_with_contributor(record_tree: RecordTree,
                            algorithm: str = "maxmatch") -> PrunedFragment:
     """Apply MaxMatch's contributor filter to one RTF / SLCA fragment.
 
-    Top-down breadth-first traversal from the fragment root: a child is kept
-    iff it is a contributor among its parent's children; subtrees of discarded
-    children are never visited (so they are discarded wholesale), matching the
-    pruneMatches behaviour of MaxMatch.
+    Top-down over the record tree's columns: a child is kept iff its parent
+    is kept and no sibling's mask strictly covers its own, so the subtrees
+    of discarded children are discarded wholesale, matching the pruneMatches
+    behaviour of MaxMatch.  ``fragment.nodes`` is in document order, so
+    parents are decided before their children and the kept nodes come out
+    sorted.
     """
     fragment = record_tree.fragment
-    kept: List[DeweyCode] = [fragment.root]
-    queue = deque([record_tree.root])
-    while queue:
-        parent = queue.popleft()
-        children = parent.children
-        # The shared kernel on the raw mask ints; positions distinguish
-        # siblings, so no per-pair Dewey comparison is needed.
-        masks = [child.keyword_mask for child in children]
-        for index, child in enumerate(children):
-            if not _strictly_covered(masks[index], masks, skip=index):
-                kept.append(child.dewey)
-                queue.append(child)
-    return PrunedFragment(fragment=fragment, kept_nodes=tuple(sorted(set(kept))),
+    masks = record_tree.masks
+    keep = [False] * len(masks)
+    keep[0] = True
+    for parent, kids in enumerate(record_tree.children):
+        if not kids or not keep[parent]:
+            continue
+        if len(kids) == 1:
+            keep[kids[0]] = True
+            continue
+        covered = strictly_covered_masks([masks[kid] for kid in kids])
+        for kid in kids:
+            if masks[kid] not in covered:
+                keep[kid] = True
+    return PrunedFragment(fragment=fragment,
+                          kept_nodes=tuple(compress(fragment.nodes, keep)),
                           algorithm=algorithm)
 
 

@@ -13,7 +13,11 @@ For every node of an RTF the paper keeps:
 
 The constructing step of ``pruneRTF`` (Algorithm 1, lines 1–15) builds this
 record tree bottom-up from the RTF's keyword nodes: every keyword node's
-information is propagated to all its ancestors within the fragment.
+information is propagated to all its ancestors within the fragment.  The
+record tree is stored as columns parallel to ``fragment.nodes`` (parent and
+child indexes, key numbers, cIDs), built in one linear pass; the
+pruners decide on those columns, and :class:`NodeRecord` objects are views
+over them, built only when asked for (explanations, tests).
 
 Two content-feature modes are supported:
 
@@ -37,6 +41,11 @@ ContentFeature = Union[Tuple[str, str], FrozenSet[str]]
 #: Content-feature modes accepted by the record builder.
 CID_MODES = ("minmax", "exact")
 
+#: The ``(min, max)`` cID of a node without keyword content below it.
+NO_CONTENT: Tuple[str, str] = ("", "")
+
+_NO_WORDS: FrozenSet[str] = frozenset()
+
 
 @dataclass
 class LabelGroup:
@@ -59,21 +68,48 @@ class LabelGroup:
         return [child.content_feature for child in self.children]
 
 
-@dataclass
 class NodeRecord:
-    """The per-node record of Section 4.1."""
+    """The per-node record of Section 4.1.
 
-    dewey: DeweyCode
-    label: str
-    keyword_mask: int = 0
-    content_words: FrozenSet[str] = frozenset()
-    is_keyword_node: bool = False
-    cid_mode: str = "minmax"
-    children: List["NodeRecord"] = field(default_factory=list)
+    ``content_words`` (the RTF-restricted tree content set ``TC_v``) is
+    computed on first access when the record comes from the constructing
+    step (``content_words=None``): the union of the record's own
+    keyword-node words and its children's content words.  Records built
+    directly take it as an argument.
+    """
+
+    __slots__ = ("dewey", "label", "keyword_mask", "is_keyword_node",
+                 "cid_mode", "children", "_content_words", "_own_words",
+                 "_feature")
+
+    def __init__(self, dewey: DeweyCode, label: str, keyword_mask: int = 0,
+                 content_words: Optional[FrozenSet[str]] = _NO_WORDS,
+                 is_keyword_node: bool = False, cid_mode: str = "minmax",
+                 children: Optional[List["NodeRecord"]] = None):
+        self.dewey = dewey
+        self.label = label
+        self.keyword_mask = keyword_mask
+        self.is_keyword_node = is_keyword_node
+        self.cid_mode = cid_mode
+        self.children: List["NodeRecord"] = [] if children is None else children
+        self._content_words: Optional[FrozenSet[str]] = content_words
+        self._own_words: FrozenSet[str] = _NO_WORDS
+        self._feature: Optional[ContentFeature] = None
 
     # ------------------------------------------------------------------ #
     # Self info
     # ------------------------------------------------------------------ #
+    @property
+    def content_words(self) -> FrozenSet[str]:
+        """``TC_v``: the words of the fragment's keyword nodes below ``v``."""
+        words = self._content_words
+        if words is None:
+            words = self._own_words
+            for child in self.children:
+                words = words | child.content_words
+            self._content_words = words
+        return words
+
     @property
     def key_number(self) -> int:
         """The integer value of ``kList`` (the paper's key number)."""
@@ -84,10 +120,10 @@ class NodeRecord:
         """The ``cID``: the ``(min, max)`` word pair, or the exact set."""
         if self.cid_mode == "exact":
             return self.content_words
-        if not self.content_words:
-            return ("", "")
-        ordered = sorted(self.content_words)
-        return (ordered[0], ordered[-1])
+        if self._feature is not None:
+            return self._feature
+        words = self.content_words
+        return (min(words), max(words)) if words else NO_CONTENT
 
     def tree_keyword_set(self, query: Query) -> FrozenSet[str]:
         """``TK_v`` decoded back into keyword strings."""
@@ -121,13 +157,61 @@ class NodeRecord:
                 f"cid={self.content_feature!r})")
 
 
-@dataclass(frozen=True)
 class RecordTree:
-    """The record tree of one RTF built by the constructing step."""
+    """The record tree of one RTF built by the constructing step.
 
-    fragment: Fragment
-    root: NodeRecord
-    by_dewey: Dict[DeweyCode, NodeRecord]
+    Columns parallel to ``fragment.nodes`` (document order, root at 0):
+
+    * ``children`` — each node's child indexes, in document order;
+    * ``masks`` — key numbers (``kList`` bitmasks);
+    * ``features`` — cIDs: ``(min, max)`` pairs, or exact word sets when
+      ``cid_mode == "exact"``;
+    * ``keyword_words`` — the own content words of each keyword node, by
+      index.
+
+    Labels are resolved through :meth:`label` on first use: MaxMatch never
+    reads one, and ValidRTF only reads those of siblings it must group.
+    ``root``, ``by_dewey`` and :meth:`record` expose the same data as
+    :class:`NodeRecord` objects, built on first access.
+    """
+
+    __slots__ = ("fragment", "cid_mode", "children", "masks", "features",
+                 "keyword_words", "_label_of", "_labels", "_records")
+
+    def __init__(self, fragment: Fragment, cid_mode: str,
+                 children: List[List[int]], masks: List[int],
+                 features: List[ContentFeature],
+                 keyword_words: Dict[int, FrozenSet[str]],
+                 label_of: Callable[[DeweyCode], Optional[str]]):
+        self.fragment = fragment
+        self.cid_mode = cid_mode
+        self.children = children
+        self.masks = masks
+        self.features = features
+        self.keyword_words = keyword_words
+        self._label_of = label_of
+        self._labels: List[Optional[str]] = [None] * len(masks)
+        self._records: Optional[Dict[DeweyCode, NodeRecord]] = None
+
+    def label(self, index: int) -> str:
+        """The element label of the node at ``index`` (memoized)."""
+        label = self._labels[index]
+        if label is None:
+            label = self._labels[index] = \
+                self._label_of(self.fragment.nodes[index]) or ""
+        return label
+
+    @property
+    def by_dewey(self) -> Dict[DeweyCode, NodeRecord]:
+        """Every node's :class:`NodeRecord`, keyed by Dewey code."""
+        if self._records is None:
+            self._records = dict(zip(self.fragment.nodes, self._views()))
+        return self._records
+
+    @property
+    def root(self) -> NodeRecord:
+        """The record of the fragment root."""
+        return self.by_dewey[self.fragment.root]
 
     def record(self, dewey: DeweyCode) -> NodeRecord:
         """The record of one fragment node."""
@@ -135,7 +219,28 @@ class RecordTree:
 
     def size(self) -> int:
         """Number of records (equals the raw fragment size)."""
-        return len(self.by_dewey)
+        return len(self.masks)
+
+    def _views(self) -> List[NodeRecord]:
+        """One :class:`NodeRecord` per column row, children wired."""
+        exact = self.cid_mode == "exact"
+        keyword_words = self.keyword_words
+        records: List[NodeRecord] = []
+        for index, (code, mask, feature) in enumerate(zip(
+                self.fragment.nodes, self.masks, self.features)):
+            own = keyword_words.get(index)
+            record = NodeRecord(code, self.label(index), mask,
+                                content_words=feature if exact else None,
+                                is_keyword_node=own is not None,
+                                cid_mode=self.cid_mode)
+            if own is not None:
+                record._own_words = own
+            if not exact:
+                record._feature = feature
+            records.append(record)
+        for record, kids in zip(records, self.children):
+            record.children = [records[kid] for kid in kids]
+        return records
 
 
 def build_record_tree(
@@ -147,11 +252,11 @@ def build_record_tree(
 ) -> RecordTree:
     """The constructing step of ``pruneRTF`` (Algorithm 1, lines 1–15).
 
-    Builds one :class:`NodeRecord` per fragment node.  A node's keyword mask
-    and content words are the union over the *fragment's own keyword nodes*
-    located in its subtree — the restriction the paper's line 11/12 fix is
-    about: keyword-node information must reach every ancestor within the RTF,
-    but keyword nodes belonging to other (deeper) RTFs never contribute.
+    Builds one record per fragment node.  A node's keyword mask and content
+    words are the union over the *fragment's own keyword nodes* located in
+    its subtree — the restriction the paper's line 11/12 fix is about:
+    keyword-node information must reach every ancestor within the RTF, but
+    keyword nodes belonging to other (deeper) RTFs never contribute.
     """
     return build_record_tree_from_lookups(
         label_of=lambda dewey: tree.node(dewey).label,
@@ -176,66 +281,107 @@ def build_record_tree_from_lookups(
     (``node_label`` / ``node_words``), which is how disk-backed searches run
     the pruning stage without the document resident in memory.  Semantics are
     identical to :func:`build_record_tree` (which delegates here).
+
+    ``fragment.nodes`` is in document order and closed under "parent within
+    the fragment" (a union of root paths), so a node's parent is the latest
+    node one level up: one forward pass wires the parent and child columns,
+    and one backward pass folds each node's key number and cID into its
+    parent — once per fragment edge, as ints and ``(min, max)`` pairs.
     """
     if cid_mode not in CID_MODES:
         raise ValueError(f"unknown cid_mode {cid_mode!r}; expected one of {CID_MODES}")
-
-    # Wire parent/child links within the fragment in ONE document-order pass.
-    # ``fragment.nodes`` is sorted, so a node's nearest fragment ancestor is on
-    # the path stack when the node arrives (prefix compares on raw component
-    # tuples — no ``parent()`` chains, no per-step code materialization), and
-    # children are appended in document order, so no per-parent sort is needed.
-    records: Dict[DeweyCode, NodeRecord] = {}
-    order: List[NodeRecord] = []
-    parents: List[Optional[NodeRecord]] = []
-    stack: List[Tuple[Tuple[int, ...], NodeRecord]] = []
+    nodes = fragment.nodes
+    count = len(nodes)
     root = fragment.root
-    for dewey in fragment.nodes:
-        # lint: allow(hot-loop-purity) fragment nodes arrive boxed; unbox once
-        comps = dewey.components
-        record = NodeRecord(
-            dewey=dewey,
-            label=label_of(dewey) or "",
-            cid_mode=cid_mode,
-        )
-        records[dewey] = record
-        while stack:
-            top = stack[-1][0]
-            if len(top) < len(comps) and comps[:len(top)] == top:
-                break
-            stack.pop()
-        if stack:
-            parent = stack[-1][1]
-            parent.children.append(record)
-        elif dewey != root:
-            raise ValueError(f"fragment node {dewey} is not connected to the root")
+    if not count or nodes[0] != root:
+        raise ValueError(f"fragment root {root} is not its first node")
+
+    # Forward pass: parent/child columns and keyword-node positions.
+    # lint: allow(hot-loop-purity) fragment nodes arrive boxed; unbox each once
+    parts = [code.components for code in nodes]
+    # lint: allow(hot-loop-purity) likewise the fragment's keyword nodes
+    keyword_parts = [code.components for code in fragment.keyword_nodes]
+    parents = [-1] * count
+    children: List[List[int]] = [[] for _ in range(count)]
+    base = len(parts[0])
+    latest = [0]  # latest[d]: the last node seen d levels below the root
+    keyword_positions: List[int] = []
+    pending = keyword_parts[0] if keyword_parts else None
+    if pending == parts[0]:
+        keyword_positions.append(0)
+        pending = keyword_parts[1] if len(keyword_parts) > 1 else None
+    for index in range(1, count):
+        comps = parts[index]
+        depth = len(comps) - base
+        if not 0 < depth <= len(latest) \
+                or comps[:-1] != parts[latest[depth - 1]]:
+            raise ValueError(
+                f"fragment node {nodes[index]} is not connected to the root")
+        parent = latest[depth - 1]
+        parents[index] = parent
+        children[parent].append(index)
+        if depth == len(latest):
+            latest.append(index)
         else:
-            parent = None
-        order.append(record)
-        parents.append(parent)
-        stack.append((comps, record))
-    root_record = records[root]
+            latest[depth] = index
+        if comps == pending:
+            keyword_positions.append(index)
+            position = len(keyword_positions)
+            pending = keyword_parts[position] \
+                if position < len(keyword_parts) else None
+    if len(keyword_positions) != len(keyword_parts):
+        raise ValueError(
+            f"keyword nodes of the fragment rooted at {root} are not sorted, "
+            f"unique fragment nodes")
 
-    # Propagate every keyword node's information to all its fragment ancestors
-    # (the paper's lines 5–12: "transfer the information ... to all its
-    # ancestors").  Keyword nodes are seeded first, then one bottom-up pass in
-    # reverse document order folds each record into its parent — the same
-    # union, computed once per fragment edge instead of once per
-    # (keyword node, ancestor) pair.
-    query_keywords = set(query.keywords)
-    for keyword_dewey in fragment.keyword_nodes:
-        content = words_of(keyword_dewey)
-        mask = query.mask_of(keyword for keyword in query_keywords if keyword in content)
-        record = records[keyword_dewey]
-        record.is_keyword_node = True
-        record.keyword_mask |= mask
-        record.content_words = record.content_words | content
-    for record, parent in zip(reversed(order), reversed(parents)):
-        if parent is None:
-            continue
-        if record.keyword_mask:
-            parent.keyword_mask |= record.keyword_mask
-        if record.content_words:
-            parent.content_words = parent.content_words | record.content_words
-
-    return RecordTree(fragment=fragment, root=root_record, by_dewey=records)
+    # Seed the keyword nodes (the paper's lines 5–12 "transfer the
+    # information ... to all its ancestors"), then fold bottom-up.
+    bits = {keyword: 1 << position
+            for position, keyword in enumerate(query.keywords)}
+    masks = [0] * count
+    keyword_words: Dict[int, FrozenSet[str]] = {}
+    for index in keyword_positions:
+        content = words_of(nodes[index])
+        keyword_words[index] = content
+        mask = 0
+        for keyword, bit in bits.items():
+            if keyword in content:
+                mask |= bit
+        masks[index] = mask
+    features: List[ContentFeature]
+    if cid_mode == "exact":
+        words: List[FrozenSet[str]] = [_NO_WORDS] * count
+        for index, content in keyword_words.items():
+            words[index] = content
+        for index in range(count - 1, 0, -1):
+            parent = parents[index]
+            masks[parent] |= masks[index]
+            if words[index]:
+                words[parent] = words[parent] | words[index]
+        features = list(words)
+    else:
+        lows: List[Optional[str]] = [None] * count
+        highs: List[Optional[str]] = [None] * count
+        for index, content in keyword_words.items():
+            if content:
+                lows[index] = min(content)
+                highs[index] = max(content)
+        for index in range(count - 1, 0, -1):
+            parent = parents[index]
+            masks[parent] |= masks[index]
+            low = lows[index]
+            if low is not None:
+                parent_low = lows[parent]
+                if parent_low is None:
+                    lows[parent] = low
+                    highs[parent] = highs[index]
+                else:
+                    if low < parent_low:
+                        lows[parent] = low
+                    high = highs[index]
+                    if high > highs[parent]:
+                        highs[parent] = high
+        features = [NO_CONTENT if low is None else (low, high)
+                    for low, high in zip(lows, highs)]
+    return RecordTree(fragment, cid_mode, children, masks, features,
+                      keyword_words, label_of)

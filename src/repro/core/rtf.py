@@ -14,13 +14,13 @@ query).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..index.packed import all_packed, iter_matches
+from ..index.packed import as_packed, iter_matches
+from ..lca import elca_is_slca
 from ..xmltree import DeweyCode, XMLTree
-from .fragments import Fragment, build_fragment
+from .fragments import Fragment
 from .query import Query
 
 
@@ -33,6 +33,8 @@ def assign_keyword_nodes(
     Returns a mapping ``lca -> sorted keyword nodes``; LCA nodes with no
     assigned keyword node (possible only when the input lists are
     inconsistent) map to an empty list so callers see every requested root.
+    This is the per-node definition over boxed codes (one search per keyword
+    node); :func:`build_rtfs` assigns with the linear :func:`sweep_assign`.
     """
     sorted_lcas = sorted(lca_nodes)
     assignment: Dict[DeweyCode, List[DeweyCode]] = {code: [] for code in sorted_lcas}
@@ -63,90 +65,113 @@ def build_rtfs(
 
     ``slca_flags`` (parallel to ``lca_nodes``) marks which roots are also SLCA
     nodes; when omitted it is derived from the node set itself (an LCA node is
-    an SLCA iff no other LCA node is its strict descendant).  ``tree`` may be
-    ``None``; fragments are then assembled from Dewey arithmetic alone (see
-    :func:`~repro.core.fragments.build_fragment`).
+    an SLCA iff no other LCA node is its strict descendant).  Fragments come
+    from Dewey arithmetic alone, so ``tree`` (which may be ``None``) and
+    ``query`` only complete the stage signature.
+
+    Any non-packed posting list is packed once here, so every representation
+    and backend runs the same linear pass: :func:`sweep_assign` dispatches
+    the merged keyword-node stream to the sorted roots, and each fragment's
+    node set is grown in document order from its keyword nodes' root paths.
+    :class:`DeweyCode` objects are materialized only for the fragments
+    returned — keyword nodes outside every root never become objects.
     """
-    sorted_lcas = sorted(lca_nodes)
-    if slca_flags and len(slca_flags) == len(lca_nodes):
-        # lint: allow(hot-loop-purity) boxed LCA roots are the result keys
-        flag_by_code = {DeweyCode.coerce(code): flag
-                        for code, flag in zip(lca_nodes, slca_flags)}
+    # lint: allow(hot-loop-purity) roots arrive in any Dewey form; coerce each once
+    roots = [DeweyCode.coerce(code) for code in lca_nodes]
+    if slca_flags and len(slca_flags) == len(roots):
+        flag_of = dict(zip(roots, slca_flags))
+        roots = sorted(flag_of)
+        flags = [flag_of[root] for root in roots]
     else:
-        flag_by_code = {
-            code: not any(code.is_ancestor_of(other) for other in sorted_lcas)
-            for code in sorted_lcas
-        }
-
-    packed = all_packed(keyword_lists.values()) if keyword_lists else None
-    if packed is not None and sorted_lcas:
-        return _build_rtfs_packed(sorted_lcas, flag_by_code, packed)
-
-    assignment = assign_keyword_nodes(sorted_lcas, keyword_lists)
-    fragments: List[Fragment] = []
-    for root in sorted_lcas:
-        keyword_nodes = assignment[root]
-        if not keyword_nodes:
-            continue
-        fragments.append(
-            build_fragment(tree, root, keyword_nodes, is_slca=flag_by_code[root])
-        )
-    return fragments
-
-
-def _build_rtfs_packed(sorted_lcas: Sequence[DeweyCode],
-                       flag_by_code: Mapping[DeweyCode, bool],
-                       packed: Sequence) -> List[Fragment]:
-    """``getRTF`` over flat columns: assignment and path union without objects.
-
-    The merged document-order stream comes straight from the packed posting
-    columns (deduplicated across lists by the k-way merge); each node is
-    dispatched by one ``bisect_right`` over the roots' component arrays and a
-    backward prefix-compare scan, and the fragment node set is the union of
-    root-to-keyword-node prefix tuples.  :class:`DeweyCode` objects are
-    materialized only for the fragments actually returned — dropped keyword
-    nodes (outside every interesting LCA) never become objects at all.
-    """
+        roots = sorted(set(roots))
+        flags = elca_is_slca(roots)
+    if not roots:
+        return []
     # lint: allow(hot-loop-purity) unpacking the (small) root set once
-    lca_arrays = [array("I", code.components) for code in sorted_lcas]
-    assigned: List[List[Tuple[int, ...]]] = [[] for _ in sorted_lcas]
-    for comps, _ in iter_matches(packed):
-        position = bisect_right(lca_arrays, comps)
-        for index in range(position - 1, -1, -1):
-            candidate = lca_arrays[index]
-            if len(candidate) <= len(comps) \
-                    and comps[:len(candidate)] == candidate:
-                # Among the ancestors of the node, deeper ones come later in
-                # document order, so the first ancestor found scanning
-                # backwards is the nearest enclosing one.
-                assigned[index].append(tuple(comps))
+    root_parts = [root.components for root in roots]
+    packed = [as_packed(postings) for postings in keyword_lists.values()]
+    assigned = sweep_assign(root_parts, iter_matches(packed))
+    return [_grow_fragment(root, len(parts), keyword_parts, flag)
+            for root, parts, keyword_parts, flag
+            in zip(roots, root_parts, assigned, flags) if keyword_parts]
+
+
+def sweep_assign(root_parts: Sequence[Tuple[int, ...]],
+                 matches: Iterable[Tuple[Sequence[int], int]]
+                 ) -> List[List[Tuple[int, ...]]]:
+    """Dispatch a keyword-node stream to its nearest enclosing roots.
+
+    ``root_parts`` are the roots' component tuples, strictly increasing in
+    document order; ``matches`` is a document-order ``(components, mask)``
+    stream such as :func:`~repro.index.packed.iter_matches` yields.  Returns
+    the keyword nodes assigned to each root, as component tuples in document
+    order; nodes outside every root are dropped.
+
+    One stack sweep: roots are opened as the stream passes them, and the
+    stack holds the chain of open roots enclosing the current node, deepest
+    on top.  A root the stream has left never encloses a later node, so each
+    root is pushed and popped once — the same answer as
+    :func:`assign_keyword_nodes` in linear time.
+    """
+    assigned: List[List[Tuple[int, ...]]] = [[] for _ in root_parts]
+    count = len(root_parts)
+    upcoming = 0
+    stack: List[int] = []
+    for comps, _ in matches:
+        node = tuple(comps)
+        while upcoming < count and root_parts[upcoming] <= node:
+            opened = root_parts[upcoming]
+            while stack:
+                top = root_parts[stack[-1]]
+                if len(top) < len(opened) and opened[:len(top)] == top:
+                    break
+                stack.pop()
+            stack.append(upcoming)
+            upcoming += 1
+        while stack:
+            top = root_parts[stack[-1]]
+            if len(top) <= len(node) and node[:len(top)] == top:
+                assigned[stack[-1]].append(node)
                 break
+            stack.pop()
+    return assigned
+
+
+def _grow_fragment(root: DeweyCode, root_depth: int,
+                   keyword_parts: Sequence[Tuple[int, ...]],
+                   is_slca: bool) -> Fragment:
+    """The fragment of ``root`` from its document-order keyword nodes.
+
+    Each keyword node adds the part of its root path not already present,
+    walking up from the node until it meets a known prefix.  Those new nodes
+    all follow every node already added in document order, so appending them
+    top-down keeps the node list sorted without a sort, and the keyword node
+    itself is always the last one added.
+    """
+    seen: set = set()
+    add = seen.add
+    ordered: List[Tuple[int, ...]] = []
+    keyword_positions: List[int] = []
+    for parts in keyword_parts:
+        fresh: List[Tuple[int, ...]] = []
+        for size in range(len(parts), root_depth - 1, -1):
+            prefix = parts[:size]
+            if prefix in seen:
+                break  # every shorter prefix is already present
+            add(prefix)
+            fresh.append(prefix)
+        fresh.reverse()
+        ordered.extend(fresh)
+        keyword_positions.append(len(ordered) - 1)
     from_tuple = DeweyCode._from_tuple
-    fragments: List[Fragment] = []
-    for root, keyword_tuples in zip(sorted_lcas, assigned):
-        if not keyword_tuples:
-            continue
-        root_depth = len(root.components)  # lint: allow(hot-loop-purity) per-root, not per-node
-        prefixes: set = set()
-        add = prefixes.add
-        for parts in keyword_tuples:
-            for size in range(len(parts), root_depth - 1, -1):
-                prefix = parts[:size]
-                if prefix in prefixes:
-                    break  # every shorter prefix is already present
-                add(prefix)
-        fragments.append(Fragment(
-            root=root,
-            # The merged stream is in document order, so per-root assignment
-            # order already matches the object path's sorted keyword list.
-            # lint: allow(hot-loop-purity) result boundary: only surviving
-            keyword_nodes=tuple(from_tuple(parts)
-                                for parts in keyword_tuples),
-            # lint: allow(hot-loop-purity) fragments are ever boxed
-            nodes=tuple(from_tuple(parts) for parts in sorted(prefixes)),
-            is_slca=flag_by_code[root],
-        ))
-    return fragments
+    # lint: allow(hot-loop-purity) result boundary: only surviving fragments are boxed
+    codes = [from_tuple(parts) for parts in ordered]
+    return Fragment(
+        root=root,
+        keyword_nodes=tuple([codes[position] for position in keyword_positions]),
+        nodes=tuple(codes),
+        is_slca=is_slca,
+    )
 
 
 def _nearest_enclosing(sorted_lcas: Sequence[DeweyCode],

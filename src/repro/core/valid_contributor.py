@@ -22,12 +22,13 @@ Content equality uses the node record's content feature: the paper's
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Sequence, Set
+from itertools import compress
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..xmltree import DeweyCode
+from .contributor import strictly_covered_masks
 from .fragments import PrunedFragment
-from .node_record import ContentFeature, LabelGroup, NodeRecord, RecordTree
+from .node_record import ContentFeature, NodeRecord, RecordTree
 
 
 def is_valid_contributor(record: NodeRecord, group: Sequence[NodeRecord]) -> bool:
@@ -42,17 +43,15 @@ def is_valid_contributor(record: NodeRecord, group: Sequence[NodeRecord]) -> boo
     if len(members) <= 1:
         return True
     mask = record.keyword_mask
+    # Rule 2(a): discarded when a same-label sibling strictly covers it.
+    if mask in strictly_covered_masks(member.keyword_mask for member in members):
+        return False
+    # Rule 2(b): equal keyword sets with identical content keep only the
+    # earliest sibling in document order.
+    feature = record.content_feature
     for sibling in members:
-        if sibling.dewey == record.dewey:
-            continue
-        other = sibling.keyword_mask
-        # Rule 2(a): discarded when a same-label sibling strictly covers it.
-        if mask != other and (mask & other) == mask:
-            return False
-        # Rule 2(b): equal keyword sets with identical content keep only the
-        # earliest sibling in document order.
-        if mask == other and sibling.content_feature == record.content_feature \
-                and sibling.dewey < record.dewey:
+        if sibling.keyword_mask == mask and sibling.dewey < record.dewey \
+                and sibling.content_feature == feature:
             return False
     return True
 
@@ -61,8 +60,8 @@ def prune_with_valid_contributor(record_tree: RecordTree,
                                  algorithm: str = "validrtf") -> PrunedFragment:
     """The pruning step of ``pruneRTF`` (Algorithm 1, lines 16–26).
 
-    Breadth-first traversal of the record tree; for every node, its children
-    are examined per distinct label:
+    Top-down over the record tree's columns; for every kept node, its
+    children are grouped by label once and examined per group:
 
     * a label group with a single child keeps that child (rule 1, line 26),
     * otherwise each child is kept iff (i) its key number is not strictly
@@ -70,50 +69,49 @@ def prune_with_valid_contributor(record_tree: RecordTree,
       earlier kept sibling with the same key number had the same content
       feature (rule 2(b)).
 
-    Children that are discarded are not traversed further, so their whole
-    subtrees leave the meaningful RTF.
+    Children of discarded nodes are never kept, so their whole subtrees
+    leave the meaningful RTF.  ``fragment.nodes`` is in document order, so
+    parents are decided before their children, each group lists its
+    children in document order, and the kept nodes come out sorted.
     """
     fragment = record_tree.fragment
-    kept: List[DeweyCode] = [fragment.root]
-    queue = deque([record_tree.root])
-    while queue:
-        parent = queue.popleft()
-        for group in parent.label_groups():
-            for child in _select_valid_children(group):
-                kept.append(child.dewey)
-                queue.append(child)
-    return PrunedFragment(fragment=fragment, kept_nodes=tuple(sorted(set(kept))),
+    label_of = record_tree.label
+    masks = record_tree.masks
+    features = record_tree.features
+    keep = [False] * len(masks)
+    keep[0] = True
+    for parent, kids in enumerate(record_tree.children):
+        if not kids or not keep[parent]:
+            continue
+        if len(kids) == 1:
+            keep[kids[0]] = True
+            continue
+        groups: Dict[str, List[int]] = {}
+        for kid in kids:
+            label = label_of(kid)
+            group = groups.get(label)
+            if group is None:
+                groups[label] = [kid]
+            else:
+                group.append(kid)
+        for group in groups.values():
+            if len(group) == 1:
+                keep[group[0]] = True
+                continue
+            covered = strictly_covered_masks([masks[kid] for kid in group])
+            seen: Set[Tuple[int, ContentFeature]] = set()
+            for kid in group:
+                mask = masks[kid]
+                if mask in covered:
+                    continue
+                key = (mask, features[kid])
+                if key in seen:
+                    continue
+                seen.add(key)
+                keep[kid] = True
+    return PrunedFragment(fragment=fragment,
+                          kept_nodes=tuple(compress(fragment.nodes, keep)),
                           algorithm=algorithm)
-
-
-def _select_valid_children(group: LabelGroup) -> List[NodeRecord]:
-    """The children of one label group that are valid contributors."""
-    children = sorted(group.children, key=lambda record: record.dewey)
-    if len(children) == 1:
-        return children
-
-    key_numbers = [child.key_number for child in children]
-    survivors: List[NodeRecord] = []
-    used_contents: Dict[int, Set[ContentFeature]] = {}
-    for child in children:
-        key = child.key_number
-        if _is_covered(key, key_numbers):
-            continue
-        seen = used_contents.setdefault(key, set())
-        feature = child.content_feature
-        if feature in seen:
-            continue
-        seen.add(feature)
-        survivors.append(child)
-    return survivors
-
-
-def _is_covered(key: int, key_numbers: Sequence[int]) -> bool:
-    """True iff some other key number is a strict superset of ``key``."""
-    for other in key_numbers:
-        if other != key and (key & other) == key:
-            return True
-    return False
 
 
 def valid_contributor_survivors(record_tree: RecordTree) -> List[DeweyCode]:

@@ -4,6 +4,7 @@ from .base import (
     EmptyKeywordList,
     KeywordLists,
     KeywordMatch,
+    UnsortedRoots,
     common_ancestor_masks,
     full_mask,
     keyword_bit_index,
@@ -44,6 +45,7 @@ __all__ = [
     "EmptyKeywordList",
     "KeywordLists",
     "KeywordMatch",
+    "UnsortedRoots",
     "normalize_lists",
     "prepare_lists",
     "remove_ancestors_slices",

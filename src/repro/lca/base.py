@@ -36,6 +36,15 @@ class EmptyKeywordList(ValueError):
     """
 
 
+class UnsortedRoots(ValueError):
+    """Raised when LCA roots are not strictly increasing in document order.
+
+    The linear SLCA-flag pass (:func:`~repro.lca.indexed_stack.elca_is_slca`)
+    relies on that order; out-of-order input is rejected rather than
+    answered with wrong flags.
+    """
+
+
 @dataclass(frozen=True)
 class KeywordMatch:
     """One keyword node together with the bitmask of keywords it contains."""

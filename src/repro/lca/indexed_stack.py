@@ -26,13 +26,14 @@ output equals the naive per-definition computation (property-tested in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..index.packed import iter_matches
 from ..xmltree import DeweyCode
 from .base import (
     EmptyKeywordList,
     KeywordLists,
+    UnsortedRoots,
     full_mask,
     iter_object_matches,
     prepare_lists,
@@ -106,17 +107,25 @@ def _scan(stream: Iterator[Tuple[Iterable[int], int]],
     return sorted(results)
 
 
-def elca_is_slca(elcas: List[DeweyCode]) -> List[bool]:
+def elca_is_slca(elcas: Sequence[DeweyCode]) -> List[bool]:
     """For each ELCA (document order), whether it is also an SLCA.
 
     An ELCA is an SLCA exactly when no other ELCA is its strict descendant —
     handy for distinguishing "SLCA-related RTFs" (Section 2) without a second
-    pass over the data.
+    pass over the data.  In document order a node's descendants directly
+    follow it, so the test only looks at each code's successor: one linear
+    pass.  ``elcas`` must be strictly increasing in document order (every
+    ``getLCA`` stage returns them so); anything else raises
+    :class:`~repro.lca.base.UnsortedRoots` instead of answering wrong flags.
     """
+    codes = list(elcas)
     flags: List[bool] = []
-    for code in elcas:
-        has_descendant = any(
-            code.is_ancestor_of(other) for other in elcas if other != code
-        )
-        flags.append(not has_descendant)
+    for code, following in zip(codes, codes[1:]):
+        if not code < following:
+            raise UnsortedRoots(
+                f"ELCA roots must be strictly increasing in document order; "
+                f"{code} is followed by {following}")
+        flags.append(not code.is_ancestor_of(following))
+    if codes:
+        flags.append(True)
     return flags

@@ -228,6 +228,31 @@ class TestHotLoopPurity:
         }, rules=["hot-loop-purity"])
         assert diagnostics == []
 
+    @pytest.mark.parametrize("module", ["contributor", "valid_contributor"])
+    def test_pruner_modules_are_hot(self, tmp_path, module):
+        diagnostics = lint(tmp_path, {
+            f"src/repro/core/{module}.py": """
+                def kept(codes, keep):
+                    return [DeweyCode(code.components)
+                            for code, flag in zip(codes, keep) if flag]
+            """,
+        }, rules=["hot-loop-purity"])
+        messages = [d.message for d in diagnostics]
+        assert any("DeweyCode materialization" in m for m in messages)
+        assert any(".components" in m for m in messages)
+
+    @pytest.mark.parametrize("module", ["contributor", "valid_contributor"])
+    def test_pruner_on_columns_passes(self, tmp_path, module):
+        diagnostics = lint(tmp_path, {
+            f"src/repro/core/{module}.py": """
+                from itertools import compress
+
+                def kept(fragment, keep):
+                    return tuple(compress(fragment.nodes, keep))
+            """,
+        }, rules=["hot-loop-purity"])
+        assert diagnostics == []
+
     def test_pragma_declares_a_result_boundary(self, tmp_path):
         diagnostics = lint(tmp_path, {
             "src/repro/lca/algo.py": """

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lca import (
+    UnsortedRoots,
+    elca_is_slca,
     indexed_lookup_eager_slca,
     indexed_stack_elca,
     naive_common_ancestors,
@@ -115,3 +117,37 @@ def test_stack_slca_cross_check_on_random_trees(seed, keyword_count,
     expected = indexed_lookup_eager_slca(lists)
     assert stack_slca(lists) == expected, (seed, keyword_count)
     assert scan_eager_slca(lists) == expected, (seed, keyword_count)
+
+
+def _quadratic_slca_flags(codes: List[DeweyCode]) -> List[bool]:
+    """The definition: a root is an SLCA iff no other root descends from it."""
+    return [not any(code.is_ancestor_of(other) for other in codes)
+            for code in codes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(dewey_codes, max_size=12).map(sorted))
+def test_elca_is_slca_matches_quadratic_definition(codes: List[DeweyCode]):
+    assert elca_is_slca(codes) == _quadratic_slca_flags(codes)
+
+
+@pytest.mark.parametrize("codes", [
+    [],                                   # no root
+    ["0.1"],                              # a single root
+    ["0", "0.1", "0.1.2", "0.1.2.0"],     # one nested chain
+    ["0.0", "0.1", "0.2"],                # siblings
+    ["0", "0.0", "0.0.1", "0.1", "0.2.0"],  # chains under siblings
+])
+def test_elca_is_slca_chains_and_siblings(codes):
+    parsed = [DeweyCode.parse(code) for code in codes]
+    assert elca_is_slca(parsed) == _quadratic_slca_flags(parsed)
+
+
+@pytest.mark.parametrize("codes", [
+    ["0.1", "0"],          # a descendant before its ancestor
+    ["0.2", "0.1"],        # siblings out of order
+    ["0.1", "0.1"],        # a duplicate
+])
+def test_elca_is_slca_rejects_unsorted_roots(codes):
+    with pytest.raises(UnsortedRoots):
+        elca_is_slca([DeweyCode.parse(code) for code in codes])

@@ -3,13 +3,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Query, assign_keyword_nodes, build_rtfs
+from repro.core.rtf import sweep_assign
 from repro.index import InvertedIndex
+from repro.index.packed import iter_matches, pack_deweys
 from repro.lca import elca_is_slca, indexed_stack_elca
 from repro.xmltree import DeweyCode
 
 D = DeweyCode.parse
+
+
+def swept(lca_nodes, lists):
+    """:func:`sweep_assign` in :func:`assign_keyword_nodes`' result shape."""
+    roots = sorted(lca_nodes)
+    packed = [pack_deweys(codes) for codes in lists.values()]
+    assigned = sweep_assign([root.components for root in roots],
+                            iter_matches(packed))
+    return {root: [DeweyCode(parts) for parts in keyword_parts]
+            for root, keyword_parts in zip(roots, assigned)}
 
 
 class TestAssignKeywordNodes:
@@ -39,6 +52,40 @@ class TestAssignKeywordNodes:
         assignment = assign_keyword_nodes([D("0.1"), D("0.2")],
                                           {"w1": [D("0.1.0")]})
         assert set(assignment) == {D("0.1"), D("0.2")}
+
+
+class TestSweepAssign:
+    """The linear stack sweep ``build_rtfs`` runs equals the definition."""
+
+    @pytest.mark.parametrize("roots, lists", [
+        # keyword nodes outside every root, before, between and after them
+        (["0.1", "0.3"], {"w1": ["0.0.4", "0.1.2", "0.2", "0.3.0", "0.4"]}),
+        # nested roots: the nearest enclosing one wins
+        (["0", "0.2", "0.2.1"], {"w1": ["0.1", "0.2.0", "0.2.1.5"],
+                                 "w2": ["0.2.1.5", "0.2.2"]}),
+        # a keyword node equal to its root, under a nested root
+        (["0.1", "0.1.0"], {"w1": ["0.1", "0.1.0"], "w2": ["0.1.0.3"]}),
+        # a root assigned nothing
+        (["0.1", "0.2"], {"w1": ["0.1.0"]}),
+    ])
+    def test_cases(self, roots, lists):
+        roots = [D(code) for code in roots]
+        lists = {keyword: [D(code) for code in codes]
+                 for keyword, codes in lists.items()}
+        assert swept(roots, lists) == assign_keyword_nodes(roots, lists)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.lists(st.integers(0, 2), max_size=4).map(
+            lambda suffix: DeweyCode([0] + suffix)), min_size=1, max_size=8),
+        st.lists(st.sets(st.lists(st.integers(0, 2), max_size=5).map(
+            lambda suffix: DeweyCode([0] + suffix)), max_size=10),
+            min_size=1, max_size=3),
+    )
+    def test_matches_assign_keyword_nodes(self, roots, keyword_sets):
+        lists = {f"w{index}": sorted(codes)
+                 for index, codes in enumerate(keyword_sets)}
+        assert swept(roots, lists) == assign_keyword_nodes(roots, lists)
 
 
 class TestBuildRtfs:
