@@ -74,6 +74,7 @@ obs-smoke:       ## observability end to end: traced query, serve, metrics scrap
 chaos-smoke:     ## fault-injected serving: retrying clients, journaled mutations, verify
 	bash scripts/chaos_smoke.sh
 
-perfbench-smoke: ## benchmark self-tests + a short traced run replaying every request stage by stage
+perfbench-smoke: ## benchmark self-tests + short traced in-process and served runs replaying every request stage by stage
 	$(PYTHON) -m pytest perfbench -q
 	$(PYTHON) perfbench/run.py --workload paper-memory --seed 7 --seconds 6 --trace 1
+	$(PYTHON) perfbench/run.py --workload served-writes --seed 7 --seconds 6 --trace 1

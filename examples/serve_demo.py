@@ -9,7 +9,9 @@ The demo walks the whole serving stack of :mod:`repro.service`:
    document;
 2. hosts the newline-delimited-JSON TCP front end on a background thread
    (:class:`~repro.service.server.ServerThread`), with request batching
-   (2 ms window) and admission control (bounded in-flight depth);
+   (a search that finds an idle worker runs at once; while all four are
+   busy, searches coalesce for up to 2 ms) and admission control (bounded
+   in-flight depth);
 3. talks to it like any remote caller would, through
    :class:`~repro.service.client.ServiceClient` — search with a per-request
    algorithm and ``cid_mode``, a ValidRTF-vs-MaxMatch comparison, and the

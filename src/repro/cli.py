@@ -365,7 +365,9 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, default=16,
                         help="flush a request batch at this size")
     parser.add_argument("--batch-window", type=float, default=2.0,
-                        help="max milliseconds a request waits to be batched")
+                        help="max milliseconds a request is held for a batch "
+                             "while every worker is busy (a request that "
+                             "finds an idle worker is dispatched at once)")
     parser.add_argument("--max-inflight", type=int, default=64,
                         help="admission bound: concurrent requests past the "
                              "front door before load shedding")

@@ -3,22 +3,38 @@
 Concurrent callers frequently query overlapping keywords (hot queries, shared
 vocabulary).  :meth:`SearchEngine.search_many` already amortizes stage 1 by
 fetching the posting lists of a batch's keyword *union* once — the batcher is
-the asyncio shim that turns independent in-flight requests into such batches:
+the asyncio shim that turns independent in-flight requests into such batches.
+It is **work-conserving**: coalescing only happens while every pool worker
+is busy, so a request a free worker could serve is never held for a batch.
 
 * requests are bucketed by ``(algorithm, cid_mode)`` (the two knobs a batch
   must agree on),
-* a bucket flushes when it reaches ``max_batch_size`` **or** when
-  ``max_wait_seconds`` elapses since its first request — the classic
-  size-or-deadline window, so a lone request pays at most the window in
-  added latency and a burst pays (almost) none,
+* when a worker is idle, a request's bucket is dispatched at once — alone,
+  or together with requests that queued while the workers were busy.  A
+  worker is idle when the pool counts fewer running jobs than workers
+  (:meth:`EnginePool.has_idle_worker`, which counts every kind of pool job:
+  searches, ranks, compares, writes) **and** fewer of the batcher's own
+  batches than workers still await delivery on the event loop — a batch
+  holds its worker until the loop has handed its results back, so a burst
+  that arrives while the loop is still delivering shares one batch,
+* while every worker is busy a bucket flushes when it reaches
+  ``max_batch_size`` **or** when ``max_wait_seconds`` elapses since its
+  first request — the classic size-or-deadline window, so the window is
+  the longest a request is held while all workers are busy,
+* when a batch has been delivered, open buckets are dispatched, oldest
+  first, while a worker is idle, so a queue never waits out its window
+  behind a free worker (completions of other pool jobs do not trigger
+  this; the window bounds that wait),
 * each flush dispatches one :meth:`EnginePool.search_many` call to a single
   worker and fans the results back out to the per-request futures.
 
-Failures propagate to every request of the batch; requests whose future was
-already cancelled (deadline hit while queued) are skipped.
+Failures propagate to every request of the batch.  Requests whose future was
+already cancelled (deadline hit while queued) are dropped at flush: their
+queries are never sent to the engine, and a bucket with no live request left
+dispatches nothing.
 
-All batching counters — requests, batches, flush causes — plus the
-queue-wait and batch-occupancy histograms live in a
+All batching counters — requests, batches, flush causes (idle, size, timer)
+— plus the queue-wait and batch-occupancy histograms live in a
 :class:`~repro.obs.MetricsRegistry`; :meth:`RequestBatcher.stats` is derived
 from it, so the ``stats`` wire op and a metrics scrape always agree.
 """
@@ -27,11 +43,12 @@ from __future__ import annotations
 
 import asyncio
 import time
+from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple
 
 from ..core.fragments import SearchResult
 from ..core.query import QueryLike
-from ..obs import DEFAULT_COUNT_BUCKETS, MetricsRegistry
+from ..obs import DEFAULT_COUNT_BUCKETS, Counter, MetricsRegistry
 from ..obs import names as metric_names
 from .engine_pool import EnginePool
 from .protocol import ERROR_INTERNAL, ServiceError
@@ -39,7 +56,8 @@ from .protocol import ERROR_INTERNAL, ServiceError
 #: Default flush-on-size bound.
 DEFAULT_MAX_BATCH_SIZE = 16
 
-#: Default flush-on-deadline window (seconds).
+#: Default flush-on-deadline window (seconds), applied only while every
+#: pool worker is busy.
 DEFAULT_MAX_WAIT_SECONDS = 0.002
 
 #: A bucket key: the knobs all requests of one batch must share.
@@ -85,6 +103,9 @@ class RequestBatcher:
         # Strong references to in-flight flush tasks: the event loop only
         # keeps weak ones, and a collected task would drop its whole batch.
         self._tasks: set = set()
+        # Dispatched batches whose results the loop has not handed back
+        # yet; each still holds its worker (see ``_worker_idle``).
+        self._undelivered = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -103,57 +124,85 @@ class RequestBatcher:
             bucket = self._buckets[key] = _Bucket()
         bucket.entries.append((query, future, time.monotonic()))
         self.metrics.counter(metric_names.BATCHER_REQUESTS).inc()
-        if len(bucket.entries) >= self.max_batch_size:
-            self.metrics.counter(metric_names.BATCHER_SIZE_FLUSHES).inc()
-            self._flush(key)
+        if self._worker_idle():
+            self._flush(key, self.metrics.counter(
+                metric_names.BATCHER_IDLE_FLUSHES))
+        elif len(bucket.entries) >= self.max_batch_size:
+            self._flush(key, self.metrics.counter(
+                metric_names.BATCHER_SIZE_FLUSHES))
         elif bucket.timer is None:
-            bucket.timer = loop.call_later(self.max_wait_seconds,
-                                           self._timer_flush, key)
+            bucket.timer = loop.call_later(
+                self.max_wait_seconds, self._flush, key,
+                self.metrics.counter(metric_names.BATCHER_TIMER_FLUSHES))
         return await future
 
     # ------------------------------------------------------------------ #
     # Flushing
     # ------------------------------------------------------------------ #
-    def _timer_flush(self, key: BatchKey) -> None:
-        if key in self._buckets:
-            self.metrics.counter(metric_names.BATCHER_TIMER_FLUSHES).inc()
-            self._flush(key)
+    def _flush(self, key: BatchKey, cause: Optional[Counter] = None) -> None:
+        """Dispatch one bucket's live requests as a single engine batch.
 
-    def _flush(self, key: BatchKey) -> None:
+        ``cause`` is the flush-cause counter to bump; it counts only when a
+        batch is actually dispatched.
+        """
         bucket = self._buckets.pop(key, None)
         if bucket is None:
             return
         if bucket.timer is not None:
             bucket.timer.cancel()
-        if bucket.entries:
-            self.metrics.counter(metric_names.BATCHER_BATCHES).inc()
-            self.metrics.histogram(
-                metric_names.BATCHER_BATCH_SIZE,
-                buckets=DEFAULT_COUNT_BUCKETS,
-            ).observe(len(bucket.entries))
-            flushed_at = time.monotonic()
-            waits = self.metrics.histogram(
-                metric_names.BATCHER_QUEUE_WAIT_SECONDS)
-            for _, _, enqueued_at in bucket.entries:
-                waits.observe(flushed_at - enqueued_at)
-            task = asyncio.ensure_future(self._run_batch(key, bucket.entries))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
-    async def _run_batch(self, key: BatchKey, entries: List[_Entry]) -> None:
-        algorithm, cid_mode = key
-        queries = [query for query, _, _ in entries]
-        try:
-            results = await asyncio.wrap_future(
-                self.pool.search_many(queries, algorithm, cid_mode))
-        except Exception as error:  # noqa: BLE001 - fan the failure out  # lint: allow(exception-discipline)
-            for _, future, _ in entries:
-                if not future.done():
-                    future.set_exception(_as_service_error(error))
+        entries = [entry for entry in bucket.entries if not entry[1].done()]
+        if not entries:
             return
-        for (_, future, _), result in zip(entries, results):
-            if not future.done():
-                future.set_result(result)
+        if cause is not None:
+            cause.inc()
+        self.metrics.counter(metric_names.BATCHER_BATCHES).inc()
+        self.metrics.histogram(
+            metric_names.BATCHER_BATCH_SIZE,
+            buckets=DEFAULT_COUNT_BUCKETS,
+        ).observe(len(entries))
+        flushed_at = time.monotonic()
+        waits = self.metrics.histogram(metric_names.BATCHER_QUEUE_WAIT_SECONDS)
+        for _, _, enqueued_at in entries:
+            waits.observe(flushed_at - enqueued_at)
+        algorithm, cid_mode = key
+        # Submit now, not from the task: the pool must count this batch
+        # busy before the next request on this loop asks for an idle worker.
+        try:
+            batch = self.pool.search_many(
+                [query for query, _, _ in entries], algorithm, cid_mode)
+        except Exception as error:  # noqa: BLE001 - fan the failure out  # lint: allow(exception-discipline)
+            _fail(entries, error)
+            return
+        self._undelivered += 1
+        task = asyncio.ensure_future(self._deliver(batch, entries))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _deliver(self, batch: "Future[List[SearchResult]]",
+                       entries: List[_Entry]) -> None:
+        try:
+            results = await asyncio.wrap_future(batch)
+        except Exception as error:  # noqa: BLE001 - fan the failure out  # lint: allow(exception-discipline)
+            _fail(entries, error)
+        else:
+            for (_, future, _), result in zip(entries, results):
+                if not future.done():
+                    future.set_result(result)
+        self._undelivered -= 1
+        self._dispatch_while_idle()
+
+    def _dispatch_while_idle(self) -> None:
+        """Hand queued buckets, oldest first, to workers that are idle."""
+        for key in list(self._buckets):
+            if not self._worker_idle():
+                return
+            self._flush(key, self.metrics.counter(
+                metric_names.BATCHER_IDLE_FLUSHES))
+
+    def _worker_idle(self) -> bool:
+        """Would a batch dispatched now start at once (see module doc)?"""
+        return (self.pool.has_idle_worker()
+                and self._undelivered < self.pool.workers)
 
     def flush_all(self) -> None:
         """Flush every open bucket immediately (used on shutdown)."""
@@ -192,6 +241,8 @@ class RequestBatcher:
                 metric_names.BATCHER_SIZE_FLUSHES, 0),
             "timer_flushes": counters.get(
                 metric_names.BATCHER_TIMER_FLUSHES, 0),
+            "idle_flushes": counters.get(
+                metric_names.BATCHER_IDLE_FLUSHES, 0),
             "mean_batch_size": (requests / batches if batches else 0.0),
             "mean_queue_wait_ms": (
                 round(waits["sum"] / waits["count"] * 1000.0, 4)
@@ -201,6 +252,13 @@ class RequestBatcher:
     def __repr__(self) -> str:
         return (f"RequestBatcher(max_batch_size={self.max_batch_size}, "
                 f"window={self.max_wait_seconds}s, open={len(self._buckets)})")
+
+
+def _fail(entries: List[_Entry], error: Exception) -> None:
+    """Fail every still-waiting request of a batch with ``error``."""
+    for _, future, _ in entries:
+        if not future.done():
+            future.set_exception(_as_service_error(error))
 
 
 def _as_service_error(error: Exception) -> ServiceError:

@@ -21,6 +21,12 @@ Work is executed on a :class:`~concurrent.futures.ThreadPoolExecutor`; every
 submission receives the calling thread's engine as its first argument.  The
 asyncio front end bridges the returned futures with
 :func:`asyncio.wrap_future`.
+
+Every job (``submit_direct``, and ``submit`` with the search, rank and
+compare helpers built on it) counts as **busy** from submission until it
+returns, so :meth:`EnginePool.has_idle_worker` answers whether a new job
+would start at once.  The request batcher reads it to dispatch a lone
+search immediately instead of holding it for a batch window.
 """
 
 from __future__ import annotations
@@ -105,6 +111,9 @@ class EnginePool:
         # :meth:`metrics_snapshot`.
         self._engine_registries: List[MetricsRegistry] = []
         self._engines_lock = threading.Lock()
+        # Jobs submitted and not yet returned (queued ones included).
+        self._busy = 0
+        self._busy_lock = threading.Lock()
         self._closed = False
         #: Bumped by :meth:`invalidate_engines`; worker engines built under
         #: an older generation are discarded and rebuilt on next use.
@@ -325,18 +334,39 @@ class EnginePool:
         """Run ``fn(*args)`` on a worker thread, without an engine argument.
 
         For store-level mutations, which need the executor (so the event
-        loop never blocks on sqlite writes) but not a search engine.
+        loop never blocks on sqlite writes) but not a search engine.  Every
+        pool job enters the executor here, so it counts as busy from
+        submission until ``fn`` returns.
         """
         if self._closed:
             raise RuntimeError("the engine pool is shut down")
-        return self._executor.submit(fn, *args)
+        with self._busy_lock:
+            self._busy += 1
+        try:
+            return self._executor.submit(self._run_counted, fn, args)
+        except BaseException:
+            self._job_done()
+            raise
 
     def submit(self, fn: Callable[..., object], *args: object,
                **kwargs: object) -> Future:
         """Run ``fn(engine, *args, **kwargs)`` on a worker thread."""
-        if self._closed:
-            raise RuntimeError("the engine pool is shut down")
-        return self._executor.submit(self._invoke, fn, args, kwargs)
+        return self.submit_direct(self._invoke, fn, args, kwargs)
+
+    def has_idle_worker(self) -> bool:
+        """Would a job submitted now start at once (a worker is free)?"""
+        return self._busy < self.workers
+
+    def _run_counted(self, fn: Callable[..., object],
+                     args: Tuple[object, ...]) -> object:
+        try:
+            return fn(*args)
+        finally:
+            self._job_done()
+
+    def _job_done(self) -> None:
+        with self._busy_lock:
+            self._busy -= 1
 
     def _invoke(self, fn: Callable[..., object], args: Tuple[object, ...],
                 kwargs: Dict[str, object]) -> object:
@@ -424,7 +454,7 @@ class EnginePool:
             self._thread_engine()
             barrier.wait(timeout)
 
-        futures = [self._executor.submit(prime) for _ in range(self.workers)]
+        futures = [self.submit_direct(prime) for _ in range(self.workers)]
         for future in futures:
             future.result(timeout)
         return self.engine_count

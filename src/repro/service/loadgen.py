@@ -406,7 +406,8 @@ def _verify_server_metrics(where: str, report: LoadReport) -> None:
                 ("requests", metric_names.BATCHER_REQUESTS),
                 ("batches", metric_names.BATCHER_BATCHES),
                 ("size_flushes", metric_names.BATCHER_SIZE_FLUSHES),
-                ("timer_flushes", metric_names.BATCHER_TIMER_FLUSHES)):
+                ("timer_flushes", metric_names.BATCHER_TIMER_FLUSHES),
+                ("idle_flushes", metric_names.BATCHER_IDLE_FLUSHES)):
             if batcher.get(stat_key) != counters.get(metric, 0):
                 raise ServiceBenchIntegrityError(
                     f"{where}: stats batcher.{stat_key} "

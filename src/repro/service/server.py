@@ -116,8 +116,10 @@ def _label_value(label_body: str, key: str) -> str:
 class ServiceConfig:
     """Every knob of the serving stack in one place.
 
-    The defaults favour a laptop demo: four workers, 2 ms batch window,
-    64 in-flight requests, no deadline.
+    The defaults favour a laptop demo: four workers, a 2 ms batch window,
+    64 in-flight requests, no deadline.  The batch window only applies
+    while every worker is busy: a search that finds an idle worker is
+    dispatched at once (see :mod:`repro.service.batcher`).
     """
 
     backend: str = "memory"

@@ -179,6 +179,17 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     "ON segment_value (segment_id, document, keyword)",
     "CREATE INDEX IF NOT EXISTS idx_segment_value_dewey "
     "ON segment_value (segment_id, document, dewey)",
+    # The segment-id high-water mark: one row holding the last id handed
+    # out.  ``compact()`` empties the segment tables but never this one, so
+    # an id (and with it a ``…@g<id>`` snapshot identity) is never reused.
+    # Files written before it existed are seeded on open by
+    # :class:`~repro.storage.segments.SegmentedStore`.
+    """
+    CREATE TABLE IF NOT EXISTS segment_sequence (
+        singleton INTEGER PRIMARY KEY CHECK (singleton = 0),
+        last_id   INTEGER NOT NULL
+    )
+    """,
     # ------------------------------------------------------------------ #
     # Crash-safe mutations (repro.storage.segments).  Every journaled
     # mutation (update/delete/compact) writes a ``pending`` intent row in

@@ -8,6 +8,8 @@ sequence of immutable **delta segments**:
   and writes its complete row set — including the per-keyword packed posting
   blobs of :func:`~repro.storage.shredder.packed_posting_rows` — into the
   ``segment_*`` tables under a fresh, monotonically increasing segment id.
+  Ids come from a high-water mark that survives compaction and reopening,
+  so an id is never handed out twice.
   No base row is rewritten; the previous version is merely *shadowed*.
 * :meth:`SegmentedStore.delete_document` appends a **tombstone** event: a
   ``segment`` catalog row with no row payload.  Tombstones are consulted at
@@ -86,6 +88,13 @@ _SEGMENT_TABLES = ("segment", "segment_label", "segment_element",
                    "segment_value", "segment_posting")
 
 
+#: The highest segment id a file still records: catalog rows, pending
+#: journal intents and the keyed replay ledger.
+HIGHEST_RECORDED_SEGMENT_ID_SQL = (
+    "SELECT MAX((SELECT COALESCE(MAX(segment_id), 0) FROM segment), "
+    "(SELECT COALESCE(MAX(segment_id), 0) FROM mutation_journal))")
+
+
 class SegmentedStore(SQLiteStore):
     """A sqlite store that absorbs document updates as immutable segments.
 
@@ -116,7 +125,21 @@ class SegmentedStore(SQLiteStore):
         #: Interrupted mutations resolved by journal recovery so far.
         self.last_recovery: Dict[str, int] = {"rolled_back": 0,
                                               "rolled_forward": 0}
+        self._seed_segment_sequence()
         self._note_recovery(self._recover())
+
+    def _seed_segment_sequence(self) -> None:
+        """Start the id high-water mark of a file that predates it.
+
+        Seeded from the highest id the file still records, which is the
+        best a file compacted before the mark existed can offer.  A no-op
+        once the mark exists.
+        """
+        connection = self._connection
+        connection.execute(
+            "INSERT OR IGNORE INTO segment_sequence (singleton, last_id) "
+            f"SELECT 0, ({HIGHEST_RECORDED_SEGMENT_ID_SQL})")
+        connection.commit()
 
     # ------------------------------------------------------------------ #
     # Mutation journal: crash safety and idempotent replay
@@ -598,8 +621,20 @@ class SegmentedStore(SQLiteStore):
             cursor.execute(f"DELETE FROM {table} WHERE document = ?", (name,))
 
     def _next_segment_id(self) -> int:
-        return self._scalar(
-            "SELECT COALESCE(MAX(segment_id), 0) FROM segment") + 1
+        """Reserve the next id from the high-water mark (uncommitted).
+
+        Called under the write lock right before the journal intent, whose
+        commit makes the reservation durable; a rolled-back mutation burns
+        its id rather than handing it out again.
+        """
+        connection = self._connection
+        try:
+            connection.execute(
+                "UPDATE segment_sequence SET last_id = last_id + 1")
+            return self._scalar("SELECT last_id FROM segment_sequence")
+        except BaseException:
+            connection.rollback()
+            raise
 
     # ------------------------------------------------------------------ #
     # Queries (rerouted to the live generation)

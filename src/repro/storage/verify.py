@@ -12,6 +12,8 @@ Checked invariants:
 * **catalog** — every ``doc`` segment event owns label *and* element rows;
   tombstone events own no payload rows; no payload row is orphaned from
   the ``segment`` catalog.
+* **segment ids** — the id high-water mark is at or above every id the
+  catalog and the journal record, so no future mutation can reuse one.
 * **liveness** — every document named by any base table has element rows
   (the base row sets are complete), and live documents resolve to exactly
   one location.
@@ -29,7 +31,12 @@ from typing import Any, Dict, List, Tuple, Union
 
 from ..index.packed import PackedDeweyList
 from .schema import decode_dewey
-from .segments import SEGMENT_KIND_DOC, SEGMENT_KIND_TOMBSTONE, SegmentedStore
+from .segments import (
+    HIGHEST_RECORDED_SEGMENT_ID_SQL,
+    SEGMENT_KIND_DOC,
+    SEGMENT_KIND_TOMBSTONE,
+    SegmentedStore,
+)
 
 __all__ = ["IntegrityFinding", "IntegrityReport", "verify_database"]
 
@@ -112,6 +119,7 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
         connection = store._connection
         _check_journal(connection, report)
         _check_catalog(connection, report)
+        _check_segment_sequence(connection, report)
         _check_liveness(connection, report)
         _check_posting_blobs(connection, report)
         return report
@@ -173,6 +181,18 @@ def _check_catalog(connection: Any, report: IntegrityReport) -> None:
                     "catalog-missing-rows",
                     f"doc segment {segment} of {document!r} has no "
                     f"{table} rows — torn write")
+
+
+def _check_segment_sequence(connection: Any, report: IntegrityReport) -> None:
+    (mark,) = connection.execute(
+        "SELECT COALESCE(MAX(last_id), 0) FROM segment_sequence").fetchone()
+    (highest,) = connection.execute(
+        HIGHEST_RECORDED_SEGMENT_ID_SQL).fetchone()
+    if highest > mark:
+        report.error(
+            "segment-id-above-mark",
+            f"segment id {highest} is recorded but the id high-water mark "
+            f"is {mark}; the next mutation would reuse an id")
 
 
 def _check_liveness(connection: Any, report: IntegrityReport) -> None:

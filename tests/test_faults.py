@@ -361,6 +361,14 @@ class TestVerifyDatabase:
         assert any(finding.code == "catalog-missing-rows"
                    for finding in report.findings)
 
+    def test_lowered_segment_id_mark_is_detected(self, db):
+        with sqlite3.connect(db) as connection:
+            connection.execute("UPDATE segment_sequence SET last_id = 0")
+        report = verify_database(db)
+        assert not report.clean
+        assert any(finding.code == "segment-id-above-mark"
+                   for finding in report.findings)
+
     def test_report_notes_a_recovery(self, db):
         store = SegmentedStore(db)
         store.fault_hook = crash_at("update.intent")

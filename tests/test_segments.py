@@ -22,6 +22,7 @@ from repro.storage import (
     SegmentedStore,
     SQLiteStore,
     source_for_store,
+    verify_database,
 )
 from repro.storage.errors import DocumentAlreadyStored, DocumentNotFound
 
@@ -177,3 +178,55 @@ def test_legacy_database_survives_segmented_updates(tmp_path):
     reference = SearchEngine(publications_tree()).search(PAPER_QUERIES["Q1"])
     assert reference.count > 0, "the regression query must be non-trivial"
     store.close()
+
+
+# ---------------------------------------------------------------------- #
+# Segment ids are never reused
+# ---------------------------------------------------------------------- #
+def test_segment_ids_survive_compaction_and_reopening(tmp_path):
+    """Regression: ids came from ``MAX(segment_id) + 1`` over a table that
+    ``compact()`` empties, so update → compact → update handed out the same
+    id twice and two different versions shared one ``…@g1`` source id."""
+    db = str(tmp_path / "ids.db")
+    store = SegmentedStore(db)
+    store.store_tree(team_tree(), "team")
+    first = store.update_document(publications_tree(), "team")
+    stale = SegmentedPostingSource(store, "team").source_id
+    store.compact()
+    second = store.update_document(team_tree(), "team")
+    assert second > first
+    assert SegmentedPostingSource(store, "team").source_id != stale
+    store.compact()
+    store.close()
+    reopened = SegmentedStore(db)
+    assert reopened.delete_document("team") > second
+    reopened.close()
+    assert verify_database(db).clean
+
+
+def test_segment_sequence_is_seeded_on_legacy_files(tmp_path):
+    """A file written before the high-water mark existed is migrated on
+    open: the mark starts past every id the file still records."""
+    db = str(tmp_path / "legacy-ids.db")
+
+    def drop_the_mark(store):
+        store._connection.execute("DROP TABLE segment_sequence")
+        store._connection.commit()
+        store.close()
+
+    store = SegmentedStore(db)
+    store.store_tree(team_tree(), "team")
+    store.update_document(team_tree(), "team")
+    store.update_document(team_tree(), "team")
+    drop_the_mark(store)
+    migrated = SegmentedStore(db)
+    assert migrated.update_document(team_tree(), "team",
+                                    idempotency_key="put-1") == 3
+    migrated.compact()
+    drop_the_mark(migrated)
+    # Compacted: only the keyed replay ledger still records an id.
+    reseeded = SegmentedStore(db)
+    assert reseeded.update_document(team_tree(), "team") == 4
+    assert reseeded.replay_of("put-1") == 3
+    reseeded.close()
+    assert verify_database(db).clean

@@ -217,6 +217,11 @@ def test_stats_and_metrics_can_never_disagree(served):
     batcher = stats["batcher"]
     assert batcher["requests"] == counters.get("batcher.requests", 0)
     assert batcher["batches"] == counters.get("batcher.batches", 0)
+    for cause in ("idle", "size", "timer"):
+        assert batcher[f"{cause}_flushes"] == \
+            counters.get(f"batcher.{cause}_flushes", 0)
+    # A lone request on an idle server leaves at once.
+    assert batcher["idle_flushes"] >= 1
     admission = stats["admission"]
     assert admission["admitted"] == counters.get("admission.admitted", 0)
     assert admission["rejected"] == counters.get("admission.rejected", 0)

@@ -1,19 +1,23 @@
 """Unit behaviour of the serving-layer components.
 
-Engine pool (per-worker engines over one shared snapshot), request batcher
-(coalescing, flush-on-size, flush-on-window, error fan-out), admission
-controller (bounded depth, typed shedding, deadlines) and the protocol's
-canonical encoding — each exercised on its own, without a TCP socket.
+Engine pool (per-worker engines over one shared snapshot, the busy count
+behind its idle test), request batcher (idle dispatch, coalescing while the
+workers are busy, flush-on-size, flush-on-window, cancelled requests, error
+fan-out), admission controller (bounded depth, typed shedding, deadlines)
+and the protocol's canonical encoding — each exercised on its own, without
+a TCP socket.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 
-from repro.core import SearchEngine
+from repro.core import EmptyQueryError, SearchEngine
 from repro.datasets import PAPER_QUERIES
 from repro.service import (
     ERROR_OVERLOADED,
@@ -108,6 +112,60 @@ class TestEnginePool:
             assert stats.hits + stats.misses == 6
             assert stats.hits >= 4  # at most one cold miss per worker
 
+    def test_every_submission_path_counts_busy(self, publications):
+        with EnginePool.for_backend("memory", tree=publications,
+                                    workers=2) as pool:
+            assert pool.has_idle_worker()
+            gate = threading.Event()
+            held = [pool.submit_direct(gate.wait, 10),
+                    pool.submit(lambda engine: gate.wait(10))]
+            assert not pool.has_idle_worker()
+            # Queued behind the held workers, a batch still counts busy.
+            held.append(pool.search_many([PAPER_QUERIES["Q1"]]))
+            assert pool._busy == 3
+            gate.set()
+            for future in held:
+                future.result(10)
+            assert pool._busy == 0 and pool.has_idle_worker()
+
+    def test_busy_count_survives_a_submission_storm(self, publications):
+        """More submitting threads and workers than cores, with a tiny
+        switch interval: a lost update to the busy count would leave it
+        off zero once every job has returned."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with EnginePool.for_backend("memory", tree=publications,
+                                        workers=4) as pool:
+                futures = []
+                lock = threading.Lock()
+
+                def storm() -> None:
+                    for _ in range(200):
+                        future = pool.submit_direct(sum, (1, 2))
+                        with lock:
+                            futures.append(future)
+
+                threads = [threading.Thread(target=storm)
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                    assert not thread.is_alive()
+                assert [future.result(30) for future in futures] == \
+                    [3] * 1200
+                assert pool._busy == 0
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_a_failed_job_releases_its_worker(self, publications):
+        with EnginePool.for_backend("memory", tree=publications,
+                                    workers=1) as pool:
+            with pytest.raises(EmptyQueryError):
+                pool.search("").result(10)
+            assert pool.has_idle_worker()
+
     def test_submit_after_shutdown_raises(self, publications):
         pool = EnginePool.for_backend("memory", tree=publications, workers=1)
         pool.shutdown()
@@ -118,6 +176,21 @@ class TestEnginePool:
 # ---------------------------------------------------------------------- #
 # RequestBatcher
 # ---------------------------------------------------------------------- #
+@contextmanager
+def occupied(pool):
+    """Hold every worker of ``pool`` with a blocking job until exit."""
+    gate = threading.Event()
+    blockers = [pool.submit_direct(gate.wait, 10)
+                for _ in range(pool.workers)]
+    try:
+        assert not pool.has_idle_worker()
+        yield
+    finally:
+        gate.set()
+        for blocker in blockers:
+            blocker.result(10)
+
+
 @pytest.fixture()
 def memory_pool(publications):
     with EnginePool.for_backend("memory", tree=publications,
@@ -132,6 +205,20 @@ class TestRequestBatcher:
         with pytest.raises(ValueError):
             RequestBatcher(memory_pool, max_wait_seconds=-1)
 
+    def test_lone_request_on_an_idle_pool_skips_the_window(self,
+                                                           memory_pool):
+        batcher = RequestBatcher(memory_pool, max_batch_size=16,
+                                 max_wait_seconds=30.0)
+
+        async def drive():
+            return await asyncio.wait_for(
+                batcher.submit(PAPER_QUERIES["Q1"]), timeout=5)
+
+        assert asyncio.run(drive()).count > 0
+        stats = batcher.stats()
+        assert stats["idle_flushes"] == 1
+        assert stats["timer_flushes"] == stats["size_flushes"] == 0
+
     def test_concurrent_submissions_coalesce(self, memory_pool,
                                              publications_engine):
         batcher = RequestBatcher(memory_pool, max_batch_size=8,
@@ -139,8 +226,14 @@ class TestRequestBatcher:
         queries = [PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")]
 
         async def drive():
-            return await asyncio.gather(
-                *(batcher.submit(query) for query in queries))
+            # Coalescing only happens while every worker is busy.
+            with occupied(memory_pool):
+                pending = asyncio.gather(
+                    *(batcher.submit(query) for query in queries))
+                await asyncio.sleep(0)  # every submission is now queued
+                assert batcher.stats()["requests"] == 3
+                assert batcher.stats()["batches"] == 0
+            return await pending
 
         results = asyncio.run(drive())
         for query, result in zip(queries, results):
@@ -150,20 +243,96 @@ class TestRequestBatcher:
         assert stats["requests"] == 3
         assert stats["batches"] == 1  # one window, one engine-level batch
         assert stats["largest_batch"] == 3
+        assert stats["timer_flushes"] == 1
 
     def test_flush_on_size_beats_the_window(self, memory_pool):
         batcher = RequestBatcher(memory_pool, max_batch_size=2,
                                  max_wait_seconds=30.0)
 
         async def drive():
-            return await asyncio.wait_for(
-                asyncio.gather(batcher.submit(PAPER_QUERIES["Q1"]),
-                               batcher.submit(PAPER_QUERIES["Q2"])),
-                timeout=10)
+            with occupied(memory_pool):
+                pending = asyncio.gather(batcher.submit(PAPER_QUERIES["Q1"]),
+                                         batcher.submit(PAPER_QUERIES["Q2"]))
+                await asyncio.sleep(0)  # both queued; the second filled it
+                assert batcher.stats()["batches"] == 1
+            return await asyncio.wait_for(pending, timeout=10)
 
         results = asyncio.run(drive())
         assert len(results) == 2
         assert batcher.stats()["size_flushes"] == 1
+
+    def test_delivered_batch_dispatches_the_queue(self, publications):
+        with EnginePool.for_backend("memory", tree=publications,
+                                    workers=1) as pool:
+            batcher = RequestBatcher(pool, max_batch_size=16,
+                                     max_wait_seconds=30.0)
+
+            async def drive():
+                # The first request takes the only worker; the next two
+                # queue and leave together as soon as it is delivered,
+                # long before the 30 s window.
+                return await asyncio.wait_for(asyncio.gather(
+                    *(batcher.submit(PAPER_QUERIES[name])
+                      for name in ("Q1", "Q2", "Q3"))), timeout=5)
+
+            assert len(asyncio.run(drive())) == 3
+        stats = batcher.stats()
+        assert stats["batches"] == stats["idle_flushes"] == 2
+        assert stats["largest_batch"] == 2
+        assert stats["timer_flushes"] == 0
+
+    def test_cancelled_requests_are_not_sent_to_the_engine(
+            self, memory_pool, publications_engine, monkeypatch):
+        sent = []
+        search_many = memory_pool.search_many
+
+        def spy(queries, *args):
+            sent.append(list(queries))
+            return search_many(queries, *args)
+
+        monkeypatch.setattr(memory_pool, "search_many", spy)
+        batcher = RequestBatcher(memory_pool, max_batch_size=8,
+                                 max_wait_seconds=30.0)
+
+        async def drive():
+            with occupied(memory_pool):
+                doomed = asyncio.ensure_future(
+                    batcher.submit(PAPER_QUERIES["Q1"]))
+                live = asyncio.ensure_future(
+                    batcher.submit(PAPER_QUERIES["Q2"]))
+                await asyncio.sleep(0)  # both queued in one bucket
+                doomed.cancel()  # as an admission deadline would
+                await asyncio.sleep(0)
+                batcher.flush_all()
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            return await asyncio.wait_for(live, timeout=10)
+
+        assert result_payload(asyncio.run(drive())) == result_payload(
+            publications_engine.search(PAPER_QUERIES["Q2"]))
+        assert sent == [[PAPER_QUERIES["Q2"]]]
+        assert batcher.stats()["largest_batch"] == 1
+
+    def test_a_bucket_of_cancelled_requests_sends_nothing(self, memory_pool,
+                                                          monkeypatch):
+        sent = []
+        monkeypatch.setattr(memory_pool, "search_many",
+                            lambda queries, *args: sent.append(queries))
+        batcher = RequestBatcher(memory_pool, max_batch_size=8,
+                                 max_wait_seconds=30.0)
+
+        async def drive():
+            with occupied(memory_pool):
+                doomed = asyncio.ensure_future(
+                    batcher.submit(PAPER_QUERIES["Q1"]))
+                await asyncio.sleep(0)
+                doomed.cancel()
+                await asyncio.sleep(0)
+                batcher.flush_all()
+
+        asyncio.run(drive())
+        assert sent == []
+        assert batcher.stats()["batches"] == 0
 
     def test_algorithms_batch_separately(self, memory_pool):
         batcher = RequestBatcher(memory_pool, max_batch_size=8,
