@@ -296,43 +296,27 @@ class TestRequestBatcher:
 
         async def drive():
             with occupied(memory_pool):
-                doomed = asyncio.ensure_future(
-                    batcher.submit(PAPER_QUERIES["Q1"]))
+                # One bucket keeps a live request; the maxmatch bucket is
+                # left with none.
+                doomed = [asyncio.ensure_future(batcher.submit(*request))
+                          for request in ((PAPER_QUERIES["Q1"], "validrtf"),
+                                          (PAPER_QUERIES["Q3"], "maxmatch"))]
                 live = asyncio.ensure_future(
                     batcher.submit(PAPER_QUERIES["Q2"]))
-                await asyncio.sleep(0)  # both queued in one bucket
-                doomed.cancel()  # as an admission deadline would
+                await asyncio.sleep(0)  # all three queued
+                for request in doomed:
+                    request.cancel()  # as an admission deadline would
                 await asyncio.sleep(0)
                 batcher.flush_all()
-            with pytest.raises(asyncio.CancelledError):
-                await doomed
+            for request in doomed:
+                with pytest.raises(asyncio.CancelledError):
+                    await request
             return await asyncio.wait_for(live, timeout=10)
 
         assert result_payload(asyncio.run(drive())) == result_payload(
             publications_engine.search(PAPER_QUERIES["Q2"]))
         assert sent == [[PAPER_QUERIES["Q2"]]]
-        assert batcher.stats()["largest_batch"] == 1
-
-    def test_a_bucket_of_cancelled_requests_sends_nothing(self, memory_pool,
-                                                          monkeypatch):
-        sent = []
-        monkeypatch.setattr(memory_pool, "search_many",
-                            lambda queries, *args: sent.append(queries))
-        batcher = RequestBatcher(memory_pool, max_batch_size=8,
-                                 max_wait_seconds=30.0)
-
-        async def drive():
-            with occupied(memory_pool):
-                doomed = asyncio.ensure_future(
-                    batcher.submit(PAPER_QUERIES["Q1"]))
-                await asyncio.sleep(0)
-                doomed.cancel()
-                await asyncio.sleep(0)
-                batcher.flush_all()
-
-        asyncio.run(drive())
-        assert sent == []
-        assert batcher.stats()["batches"] == 0
+        assert batcher.stats()["batches"] == 1
 
     def test_algorithms_batch_separately(self, memory_pool):
         batcher = RequestBatcher(memory_pool, max_batch_size=8,
